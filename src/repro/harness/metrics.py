@@ -57,7 +57,10 @@ def _percentile(ordered: Sequence[float], fraction: float) -> float:
     if low == high:
         return ordered[low]
     weight = position - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
+    value = ordered[low] * (1 - weight) + ordered[high] * weight
+    # With ordered[low] == ordered[high] the blend can land 1 ulp outside
+    # the pair; clamp so a percentile never exceeds its neighbours.
+    return min(max(value, ordered[low]), ordered[high])
 
 
 def _stddev(ordered: Sequence[float], mean: float) -> float:

@@ -40,8 +40,7 @@ class MacAddress:
         return hash(("mac", self.value))
 
     def __str__(self) -> str:
-        raw = self.value.to_bytes(6, "big")
-        return ":".join(f"{b:02x}" for b in raw)
+        return self.value.to_bytes(6, "big").hex(":")
 
     def __repr__(self) -> str:
         return f"MacAddress('{self}')"
@@ -93,8 +92,8 @@ class Ipv4Address:
         return hash(("ipv4", self.value))
 
     def __str__(self) -> str:
-        raw = self.value.to_bytes(4, "big")
-        return ".".join(str(b) for b in raw)
+        value = self.value
+        return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
     def __repr__(self) -> str:
         return f"Ipv4Address('{self}')"

@@ -140,7 +140,10 @@ def percentile(ordered: List[float], fraction: float) -> float:
     low = int(math.floor(rank))
     high = min(low + 1, len(ordered) - 1)
     weight = rank - low
-    return ordered[low] * (1.0 - weight) + ordered[high] * weight
+    value = ordered[low] * (1.0 - weight) + ordered[high] * weight
+    # The blend can land 1 ulp outside [ordered[low], ordered[high]] when
+    # the two are equal; clamp so percentiles stay monotone.
+    return min(max(value, ordered[low]), ordered[high])
 
 
 def stddev(samples: List[float]) -> float:

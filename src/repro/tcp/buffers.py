@@ -11,7 +11,7 @@ advertised window, which matters for the bridge's min-window merge.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.tcp.seqnum import seq_add, seq_ge, seq_in_window, seq_lt, seq_sub
 
@@ -48,7 +48,7 @@ class SendBuffer:
     def in_flight(self) -> int:
         return self.next_offset
 
-    def write(self, data: bytes) -> int:
+    def write(self, data: Union[bytes, memoryview]) -> int:
         """Append as much of ``data`` as fits; returns the accepted count."""
         accepted = min(len(data), self.free_space)
         if accepted:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.net.addresses import Ipv4Address
 from repro.sim.process import Event
@@ -305,7 +305,7 @@ class TcpConnection:
     # application interface
     # ------------------------------------------------------------------
 
-    def write(self, data: bytes) -> int:
+    def write(self, data: Union[bytes, memoryview]) -> int:
         """Accept bytes into the send buffer; returns the count accepted."""
         if self.reset_received:
             raise ConnectionReset(f"{self}: connection reset")

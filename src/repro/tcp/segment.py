@@ -20,8 +20,8 @@ Two header options are modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, cast
 
 from repro.net.addresses import Ipv4Address
 from repro.tcp.seqnum import seq_add, seq_valid
@@ -165,7 +165,11 @@ class TcpSegment:
 
     def sealed(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> "TcpSegment":
         """Copy of this segment with a freshly computed checksum."""
-        return replace(self, checksum=self.compute_checksum(src_ip, dst_ip))
+        return TcpSegment(
+            self.src_port, self.dst_port, self.seq, self.ack, self.flags,
+            self.window, self.payload, self.mss_option, self.orig_dst_option,
+            self.compute_checksum(src_ip, dst_ip),
+        )
 
     def checksum_ok(self, src_ip: Ipv4Address, dst_ip: Ipv4Address) -> bool:
         return self.checksum == self.compute_checksum(src_ip, dst_ip)
@@ -215,7 +219,7 @@ def incremental_rewrite(
     (remove it) or left unset (keep as is).
     """
     total = csum_unfinalize(segment.checksum)
-    changes = {}
+    new_seq, new_ack, new_window = segment.seq, segment.ack, segment.window
 
     def swap(old_value: int, new_value: int) -> None:
         nonlocal total
@@ -226,38 +230,34 @@ def incremental_rewrite(
         swap(old_src.value, new_src.value)
     if new_dst is not None and new_dst != old_dst:
         swap(old_dst.value, new_dst.value)
-    if seq is not None and seq != segment.seq:
-        swap(segment.seq, seq)
-        changes["seq"] = seq
-    if ack is not None and ack != segment.ack:
-        swap(segment.ack, ack)
-        changes["ack"] = ack
-    if window is not None and window != segment.window:
-        swap(segment.window, window)
-        changes["window"] = window
+    if seq is not None and seq != new_seq:
+        swap(new_seq, seq)
+        new_seq = seq
+    if ack is not None and ack != new_ack:
+        swap(new_ack, ack)
+        new_ack = ack
+    if window is not None and window != new_window:
+        swap(new_window, window)
+        new_window = window
     new_flags = segment.flags if flags is None else flags
-    new_orig = segment.orig_dst_option if orig_dst is _UNSET else orig_dst
+    old_orig = segment.orig_dst_option
+    new_orig = old_orig if orig_dst is _UNSET else cast(Optional[Ipv4Address], orig_dst)
 
-    if new_orig is not segment.orig_dst_option or new_flags != segment.flags:
+    if new_orig is not old_orig or new_flags != segment.flags:
         # Option / flag changes move the data offset and the TCP length.
-        old_word = segment._offset_flags_word()
+        grown = ORIG_DST_OPTION_SIZE * ((new_orig is not None) - (old_orig is not None))
+        new_header = segment.header_size + grown
         old_len = segment.wire_size
-        old_opt_sum = (
-            0xFD08 + segment.orig_dst_option.value
-            if segment.orig_dst_option is not None
-            else 0
+        swap(segment._offset_flags_word(), ((new_header // 4) << 12) | new_flags)
+        swap(old_len, old_len + grown)
+        swap(
+            0xFD08 + old_orig.value if old_orig is not None else 0,
+            0xFD08 + new_orig.value if new_orig is not None else 0,
         )
-        tentative = replace(segment, flags=new_flags, orig_dst_option=new_orig, **changes)
-        new_word = tentative._offset_flags_word()
-        new_len = tentative.wire_size
-        new_opt_sum = (
-            0xFD08 + new_orig.value if new_orig is not None else 0
-        )
-        swap(old_word, new_word)
-        swap(old_len, new_len)
-        swap(old_opt_sum, new_opt_sum)
-        result = tentative
-    else:
-        result = replace(segment, **changes) if changes else segment
 
-    return replace(result, checksum=csum_finalize(total))
+    # One constructor call: ``__post_init__`` validates the new fields.
+    return TcpSegment(
+        segment.src_port, segment.dst_port, new_seq, new_ack, new_flags,
+        new_window, segment.payload, segment.mss_option, new_orig,
+        csum_finalize(total),
+    )

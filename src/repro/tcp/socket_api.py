@@ -73,7 +73,10 @@ class SimSocket:
         while offset < len(view):
             if self.conn.reset_received:
                 raise ConnectionReset(f"{self.conn}: reset during send")
-            accepted = self.conn.write(bytes(view[offset:]))
+            # Hand over at most what the buffer can take: slicing the
+            # view copies nothing, so each write costs what it accepts.
+            free = self.conn.send_buffer.free_space
+            accepted = self.conn.write(view[offset:offset + free])
             offset += accepted
             if host is not None and accepted:
                 cost = (

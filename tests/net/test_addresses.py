@@ -78,6 +78,15 @@ def test_copy_constructor():
 def test_ipv4_string_roundtrip_property(value):
     ip = Ipv4Address(value)
     assert Ipv4Address(str(ip)).value == value
+    # Reference formatting, octet by octet: the text must match exactly.
+    assert str(ip) == ".".join(str(b) for b in value.to_bytes(4, "big"))
+
+
+@given(st.integers(min_value=0, max_value=(1 << 48) - 1))
+def test_mac_string_matches_reference_property(value):
+    mac = MacAddress(value)
+    assert str(mac) == ":".join(f"{b:02x}" for b in value.to_bytes(6, "big"))
+    assert MacAddress(str(mac)) == mac
 
 
 @given(

@@ -13,7 +13,7 @@ Two laws the dashboards and BENCH artifacts lean on:
 
 import math
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.harness.metrics import summarize
@@ -35,7 +35,12 @@ def _observe_all(values, max_samples: int = 100_000):
     return hist
 
 
+#: Equal neighbours whose linear blend rounds 1 ulp above both.
+ULP_OVERSHOOT = [0.0, 814381.0816780011, 814381.0816780011]
+
+
 @given(SAMPLES)
+@example(ULP_OVERSHOOT)
 def test_histogram_quantiles_are_monotone(values):
     summary = _observe_all(values).summary()
     assert summary["count"] == len(values)
@@ -58,6 +63,7 @@ def test_histogram_quantiles_survive_decimation(values):
 
 
 @given(SAMPLES)
+@example(ULP_OVERSHOOT)
 def test_stats_quantiles_are_monotone(values):
     stats = summarize(values)
     assert stats.minimum <= stats.median <= stats.p90

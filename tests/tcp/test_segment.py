@@ -130,13 +130,17 @@ def test_checksum_roundtrip_property(src, dst, sp, dp, seq, ack, win, payload, f
 @given(
     ips, ips, ips, ips, seqs, seqs, windows, payloads,
     st.one_of(st.none(), ips),
+    st.one_of(st.none(), ips),
+    st.one_of(st.none(), st.integers(min_value=536, max_value=1460)),
+    st.one_of(st.none(), flag_bits),
 )
 def test_incremental_rewrite_equals_full_recompute(
-    src, dst, new_src, new_dst, new_seq, new_ack, new_win, payload, orig_dst
+    src, dst, new_src, new_dst, new_seq, new_ack, new_win, payload, orig_dst,
+    start_orig, mss, new_flags,
 ):
     seg = TcpSegment(
         src_port=1, dst_port=2, seq=7, ack=9, flags=FLAG_ACK | FLAG_PSH,
-        window=100, payload=payload,
+        window=100, payload=payload, mss_option=mss, orig_dst_option=start_orig,
     ).sealed(src, dst)
     rewritten = incremental_rewrite(
         seg,
@@ -147,8 +151,13 @@ def test_incremental_rewrite_equals_full_recompute(
         seq=new_seq,
         ack=new_ack,
         window=new_win,
+        flags=new_flags,
         orig_dst=orig_dst,
     )
+    assert (rewritten.seq, rewritten.ack, rewritten.window) == (new_seq, new_ack, new_win)
+    assert rewritten.flags == (seg.flags if new_flags is None else new_flags)
+    assert rewritten.orig_dst_option == orig_dst
+    assert (rewritten.payload, rewritten.mss_option) == (payload, mss)
     full = rewritten.compute_checksum(new_src, new_dst)
     # One's-complement checksums have two encodings of zero; our pipeline
     # normalises consistently, so exact equality must hold.

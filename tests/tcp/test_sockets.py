@@ -162,3 +162,39 @@ def test_multiple_sequential_connections_to_one_listener():
 
     (results,) = run_all(lan.sim, [serial_clients()])
     assert results == [b"msg0", b"msg1", b"msg2"]
+
+
+def test_send_all_hands_write_at_most_the_buffer(monkeypatch):
+    """``send_all`` offers each ``write`` a slice bounded by the send
+    buffer, so sending a stream costs time linear in its length."""
+    from repro.tcp.connection import TcpConnection
+
+    size = 1_000_000
+    handed = []
+    write = TcpConnection.write
+
+    def recording_write(conn, data):
+        handed.append((len(data), conn.send_buffer.capacity))
+        return write(conn, data)
+
+    monkeypatch.setattr(TcpConnection, "write", recording_write)
+    lan = TwoHostLan()
+
+    def server():
+        listening = ListeningSocket.listen(lan.server, 80)
+        sock = yield from listening.accept()
+        data = yield from sock.recv_until_eof()
+        yield from sock.close_and_wait()
+        return len(data)
+
+    def client():
+        sock = SimSocket.connect(lan.client, SERVER_IP, 80)
+        yield from sock.wait_connected()
+        sent = yield from sock.send_all(bytes(size))
+        yield from sock.close_and_wait()
+        return sent
+
+    received, sent = run_all(lan.sim, [server(), client()])
+    assert received == sent == size
+    assert all(length <= capacity for length, capacity in handed)
+    assert sum(length for length, _ in handed) == size
