@@ -7,9 +7,9 @@ Usage::
 Every throughput metric (``*_per_sec``) in the fresh artifact must be at
 least ``(1 - tolerance)`` times its committed-baseline counterpart;
 anything slower fails the guard.  Dimensionless metrics with an explicit
-floor (currently ``dispose:ratio / wheel_over_heap``, the wheel-vs-heap
-acceptance bar) are checked against that floor rather than the baseline,
-so they stay meaningful across machines of different absolute speed.
+floor (``RATIO_FLOORS``, e.g. ``overhead:ratio / rate0_over_off``) are
+checked against that floor rather than the baseline, so they stay
+meaningful across machines of different absolute speed.
 
 The tolerance defaults to 10% and can be overridden with ``--tolerance``
 or the ``REPRO_BENCH_TOLERANCE`` environment variable (a fraction, e.g.
@@ -28,7 +28,6 @@ DEFAULT_TOLERANCE = 0.10
 
 # label -> metric -> hard floor, compared directly (machine-independent).
 RATIO_FLOORS = {
-    "dispose:ratio": {"wheel_over_heap": 2.0},
     # Tracing at sample-rate 0 may cost at most 5% of untraced
     # throughput (the obs-overhead acceptance bar).
     "overhead:ratio": {"rate0_over_off": 0.95},

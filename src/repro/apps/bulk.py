@@ -26,16 +26,25 @@ _PERIODS: Dict[int, bytes] = {}
 
 
 def pattern_bytes(size: int, salt: int = 0) -> bytes:
-    """Deterministic pseudo-random-ish payload of ``size`` bytes."""
+    """Deterministic pseudo-random-ish payload of ``size`` bytes.
+
+    Byte ``i`` is ``(i * 31 + salt * 17 + (i >> 8)) & 0xFF``, repeating
+    every 2048 bytes.  A salt only shifts every byte of the salt-0 period
+    by ``17 * salt`` mod 256, so each new period is one ``translate`` of
+    that base through a rotated identity table.
+    """
     key = salt & 0xFF
     period = _PERIODS.get(key)
     if period is None:
-        period = bytes(
-            (i * 31 + key * 17 + (i >> 8)) & 0xFF for i in range(_PERIOD)
-        )
-        _PERIODS[key] = period
+        base = _PERIODS.get(0)
+        if base is None:
+            base = _PERIODS[0] = bytes((i * 31 + (i >> 8)) & 0xFF for i in range(_PERIOD))
+        shift = (17 * key) & 0xFF
+        period = _PERIODS[key] = base.translate(bytes(range(shift, 256)) + bytes(range(shift)))
     reps, rem = divmod(size, _PERIOD)
-    return period * reps + period[:rem]
+    # One allocation of ``size`` bytes: ``period * reps + period[:rem]``
+    # would hold two stream-sized copies at once.
+    return b"".join([period] * reps + [period[:rem]])
 
 
 def sink_server(host: Host, port: int, expected: int, results: dict) -> Generator:

@@ -234,7 +234,8 @@ class PrimaryBridge(BridgeBase):
             if not segment.syn:
                 # Late retransmission after §8 state deletion; the peer
                 # already acknowledged everything, so drop it.
-                self._trace("bridge.p.late_local_drop", seq=segment.seq)
+                if self.tracer.wants("bridge.p.late_local_drop"):
+                    self._trace("bridge.p.late_local_drop", seq=segment.seq)
                 return True
             bc = self._create_connection(
                 key, src_ip, role="server" if segment.has_ack else "client"
@@ -261,8 +262,9 @@ class PrimaryBridge(BridgeBase):
             bc.direct = True
             bc.delta = SeqOffset.identity()
         self.connections[key] = bc
-        self._trace("bridge.p.conn_created", peer=f"{key[0]}:{key[1]}",
-                    local_port=key[2], role=role)
+        if self.tracer.wants("bridge.p.conn_created"):
+            self._trace("bridge.p.conn_created", peer=f"{key[0]}:{key[1]}",
+                        local_port=key[2], role=role)
         if self.spans.enabled:
             peer_key = self._span_key(bc)
             # The secondary's diverted copies ride a rewritten 4-tuple
@@ -309,7 +311,8 @@ class PrimaryBridge(BridgeBase):
             return
         if bc.delta is None:
             # Data-bearing segment before the merged SYN: cannot map yet.
-            self._trace("bridge.p.early_drop", seq=segment.seq)
+            if self.tracer.wants("bridge.p.early_drop"):
+                self._trace("bridge.p.early_drop", seq=segment.seq)
             return
         s_seq = bc.delta.p_to_s(segment.seq)
         if _is_pure_dup_ack(segment, bc.merge.ack_p):
@@ -372,7 +375,8 @@ class PrimaryBridge(BridgeBase):
         if bc.broken or bc.direct:
             return
         if segment.rst:
-            self._trace("bridge.p.s_rst_dropped", peer=str(bc.peer_ip))
+            if self.tracer.wants("bridge.p.s_rst_dropped"):
+                self._trace("bridge.p.s_rst_dropped", peer=str(bc.peer_ip))
             return
         if segment.syn:
             bc.syn_s = segment
@@ -382,7 +386,8 @@ class PrimaryBridge(BridgeBase):
                 self._complete_handshake(bc)
             return
         if bc.delta is None:
-            self._trace("bridge.p.early_drop_s", seq=segment.seq)
+            if self.tracer.wants("bridge.p.early_drop_s"):
+                self._trace("bridge.p.early_drop_s", seq=segment.seq)
             return
         if _is_pure_dup_ack(segment, bc.merge.ack_s):
             bc.dup_s += 1
@@ -430,11 +435,12 @@ class PrimaryBridge(BridgeBase):
             else:
                 self.rsts_ignored += 1
                 self._m_rsts_ignored.inc()
-                self._trace(
-                    "bridge.p.rst_ignored",
-                    peer=f"{datagram.src}:{segment.src_port}",
-                    seq=segment.seq,
-                )
+                if self.tracer.wants("bridge.p.rst_ignored"):
+                    self._trace(
+                        "bridge.p.rst_ignored",
+                        peer=f"{datagram.src}:{segment.src_port}",
+                        seq=segment.seq,
+                    )
             return datagram
         if segment.fin:
             bc.peer_fin_end = segment.seq_end
@@ -442,7 +448,8 @@ class PrimaryBridge(BridgeBase):
             return datagram
         if bc.delta is None:
             # ACK in S-space before we computed Δseq: cannot translate.
-            self._trace("bridge.p.ack_before_delta", seq=segment.seq)
+            if self.tracer.wants("bridge.p.ack_before_delta"):
+                self._trace("bridge.p.ack_before_delta", seq=segment.seq)
             return None
         if (
             bc.fin_sent
@@ -581,13 +588,14 @@ class PrimaryBridge(BridgeBase):
         self._emit(bc, segment)
         bc.merge.note_sent(ack)
         bc.sent_hwm = seq_max(bc.sent_hwm, segment.seq_end)
-        self._trace(
-            "bridge.p.emit_data",
-            seq=seq,
-            len=len(payload),
-            rtx=retransmission,
-            ack=segment.ack,
-        )
+        if self.tracer.wants("bridge.p.emit_data"):
+            self._trace(
+                "bridge.p.emit_data",
+                seq=seq,
+                len=len(payload),
+                rtx=retransmission,
+                ack=segment.ack,
+            )
         if not retransmission and self._resume_watch:
             self._note_resume_merged(bc)
 
@@ -622,7 +630,8 @@ class PrimaryBridge(BridgeBase):
         )
         self._emit(bc, segment)
         bc.merge.note_sent(ack)
-        self._trace("bridge.p.emit_fin", seq=segment.seq)
+        if self.tracer.wants("bridge.p.emit_fin"):
+            self._trace("bridge.p.emit_fin", seq=segment.seq)
 
     def _maybe_empty_ack(self, bc: BridgeConnection) -> None:
         if bc.sent_hwm is None:
@@ -652,7 +661,8 @@ class PrimaryBridge(BridgeBase):
         bc.merge.note_empty_ack()
         self.empty_acks_sent += 1
         self._m_empty_acks.inc()
-        self._trace("bridge.p.empty_ack", ack=ack, dup=duplicate)
+        if self.tracer.wants("bridge.p.empty_ack"):
+            self._trace("bridge.p.empty_ack", ack=ack, dup=duplicate)
 
     def _emit(self, bc: BridgeConnection, segment: TcpSegment) -> None:
         # Constructing the outgoing segment costs CPU (mbuf surgery plus
@@ -689,12 +699,13 @@ class PrimaryBridge(BridgeBase):
         bc.sent_hwm = frontier
         bc.syn_emitted = True
         self._reemit_syn(bc)
-        self._trace(
-            "bridge.p.syn_merged",
-            delta=bc.delta.delta,
-            mss=bc.mss,
-            role=bc.role,
-        )
+        if self.tracer.wants("bridge.p.syn_merged"):
+            self._trace(
+                "bridge.p.syn_merged",
+                delta=bc.delta.delta,
+                mss=bc.mss,
+                role=bc.role,
+            )
         if self.spans.enabled:
             self.spans.flow_event(
                 self._span_key(bc), "bridge.syn_merged",
@@ -729,7 +740,8 @@ class PrimaryBridge(BridgeBase):
         if self.secondary_down:
             return
         self.secondary_down = True
-        self._trace("bridge.p.secondary_failed")
+        if self.tracer.wants("bridge.p.secondary_failed"):
+            self._trace("bridge.p.secondary_failed")
         for bc in list(self.connections.values()):
             self._enter_direct_mode(bc)
 
@@ -781,8 +793,10 @@ class PrimaryBridge(BridgeBase):
             )
             self._emit(bc, catch_up)
             bc.merge.note_sent(bc.merge.ack_p)
-            self._trace("bridge.p.direct_catchup_ack", ack=bc.merge.ack_p)
-        self._trace("bridge.p.flushed", bytes=len(data))
+            if self.tracer.wants("bridge.p.direct_catchup_ack"):
+                self._trace("bridge.p.direct_catchup_ack", ack=bc.merge.ack_p)
+        if self.tracer.wants("bridge.p.flushed"):
+            self._trace("bridge.p.flushed", bytes=len(data))
         if self.spans.enabled:
             self.spans.flow_event(
                 self._span_key(bc), "bridge.flushed",
@@ -905,20 +919,22 @@ class PrimaryBridge(BridgeBase):
             self.bypass_keys.discard(resume.key)
             if not direct:
                 self._resume_watch.add(resume.key)
-            self._trace(
-                "bridge.p.resume_merge",
-                peer=f"{resume.peer_ip}:{resume.peer_port}",
-                frontier=resume.frontier,
-                delta=resume.delta.delta,
-                direct=direct,
-            )
+            if self.tracer.wants("bridge.p.resume_merge"):
+                self._trace(
+                    "bridge.p.resume_merge",
+                    peer=f"{resume.peer_ip}:{resume.peer_port}",
+                    frontier=resume.frontier,
+                    delta=resume.delta.delta,
+                    direct=direct,
+                )
 
     def _note_resume_merged(self, bc: BridgeConnection) -> None:
         """First fresh (matched) emission after a resume: merge restored."""
         if bc.key not in self._resume_watch:
             return
         self._resume_watch.discard(bc.key)
-        self._trace("bridge.p.resume_merged", peer=f"{bc.peer_ip}:{bc.peer_port}")
+        if self.tracer.wants("bridge.p.resume_merged"):
+            self._trace("bridge.p.resume_merged", peer=f"{bc.peer_ip}:{bc.peer_port}")
         if self.on_resume_merged is not None:
             self.on_resume_merged(bc.key)
 
@@ -946,7 +962,8 @@ class PrimaryBridge(BridgeBase):
         sealed = ack_seg.sealed(peer, self.secondary_ip)
         self.late_acks_synthesized += 1
         self._m_late_acks.inc()
-        self._trace("bridge.p.late_ack_to_s", seq=segment.seq)
+        if self.tracer.wants("bridge.p.late_ack_to_s"):
+            self._trace("bridge.p.late_ack_to_s", seq=segment.seq)
         self._send_datagram(sealed, peer, self.secondary_ip)
 
     def _synthesize_ack_to_peer(
@@ -964,7 +981,8 @@ class PrimaryBridge(BridgeBase):
         sealed = ack_seg.sealed(datagram.dst, datagram.src)
         self.late_acks_synthesized += 1
         self._m_late_acks.inc()
-        self._trace("bridge.p.late_ack_to_peer", seq=segment.seq)
+        if self.tracer.wants("bridge.p.late_ack_to_peer"):
+            self._trace("bridge.p.late_ack_to_peer", seq=segment.seq)
         self._send_datagram(sealed, datagram.dst, datagram.src)
 
     def _emit_rst(self, bc: BridgeConnection, segment: TcpSegment, from_primary: bool) -> None:
@@ -980,7 +998,8 @@ class PrimaryBridge(BridgeBase):
         bc.broken = True
         self.mismatches += 1
         self._m_mismatches.inc()
-        self._trace("bridge.p.mismatch", error=str(exc), peer=str(bc.peer_ip))
+        if self.tracer.wants("bridge.p.mismatch"):
+            self._trace("bridge.p.mismatch", error=str(exc), peer=str(bc.peer_ip))
         if self.spans.enabled:
             self.spans.flow_event(
                 self._span_key(bc), "bridge.mismatch",
@@ -989,8 +1008,9 @@ class PrimaryBridge(BridgeBase):
 
     def _delete(self, bc: BridgeConnection, reason: str) -> None:
         self.connections.pop(bc.key, None)
-        self._trace("bridge.p.conn_deleted", peer=f"{bc.peer_ip}:{bc.peer_port}",
-                    reason=reason)
+        if self.tracer.wants("bridge.p.conn_deleted"):
+            self._trace("bridge.p.conn_deleted", peer=f"{bc.peer_ip}:{bc.peer_port}",
+                        reason=reason)
 
     def _local_ip_guess(self) -> Ipv4Address:
         return self.host.ip.primary_address()

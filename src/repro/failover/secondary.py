@@ -93,12 +93,13 @@ class SecondaryBridge(BridgeBase):
         )
         self.segments_translated_in += 1
         self._m_translated.inc()
-        self._trace(
-            "bridge.s.translate_in",
-            src=str(datagram.src),
-            port=segment.dst_port,
-            seq=segment.seq,
-        )
+        if self.tracer.wants("bridge.s.translate_in"):
+            self._trace(
+                "bridge.s.translate_in",
+                src=str(datagram.src),
+                port=segment.dst_port,
+                seq=segment.seq,
+            )
         return replace(datagram, dst=local, payload=rewritten)
 
     # ------------------------------------------------------------------
@@ -127,13 +128,14 @@ class SecondaryBridge(BridgeBase):
         )
         self.segments_diverted_out += 1
         self._m_diverted.inc()
-        self._trace(
-            "bridge.s.divert_out",
-            orig_dst=str(dst_ip),
-            seq=segment.seq,
-            len=len(segment.payload),
-            flags=segment.flag_names(),
-        )
+        if self.tracer.wants("bridge.s.divert_out"):
+            self._trace(
+                "bridge.s.divert_out",
+                orig_dst=str(dst_ip),
+                seq=segment.seq,
+                len=len(segment.payload),
+                flags=segment.flag_names(),
+            )
         # The rewrite costs CPU; the FIFO CPU keeps segments ordered.
         self.host.cpu.run(
             self.bridge_cost, self._send_datagram, diverted, src_ip, self.primary_ip
@@ -148,7 +150,8 @@ class SecondaryBridge(BridgeBase):
         """§5 steps 1–4: hold output, stop snooping, stop translating."""
         self.holding = True
         self.host.nic.set_promiscuous(False)
-        self._trace("bridge.s.prepare_failover")
+        if self.tracer.wants("bridge.s.prepare_failover"):
+            self._trace("bridge.s.prepare_failover")
 
     def complete_failover(self, new_local_ip: Ipv4Address) -> None:
         """§5 epilogue: release held segments and go inert.
@@ -166,7 +169,8 @@ class SecondaryBridge(BridgeBase):
                 segment, old_src=src_ip, old_dst=dst_ip, new_src=new_local_ip
             )
             self._send_datagram(resent, new_local_ip, dst_ip)
-        self._trace("bridge.s.complete_failover", released=len(held))
+        if self.tracer.wants("bridge.s.complete_failover"):
+            self._trace("bridge.s.complete_failover", released=len(held))
 
     def local_ip(self) -> Ipv4Address:
         return self.host.ip.primary_address()

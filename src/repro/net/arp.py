@@ -103,7 +103,7 @@ class ArpService:
     def resolve(self, ip: Ipv4Address) -> Event:
         """Resolve ``ip`` to a MAC.  The returned event yields the MAC or
         fails with :class:`ResolutionFailed`."""
-        event = Event(self.sim, name=f"arp-resolve-{ip}")
+        event = Event(self.sim, "arp-resolve-{}", owner=ip)
         cached = self.cache.get(ip)
         if cached is not None:
             event.succeed(cached)

@@ -56,6 +56,7 @@ class EthernetSegment:
         self.spans = spans or NULL_SPANS
         self.rng = rng or seeded_rng(0)
         metrics = metrics or NULL_METRICS
+        self._metrics = metrics
         self._m_frames = metrics.counter("eth.frames", segment=name)
         self._m_bytes = metrics.counter("eth.bytes", segment=name)
         self._m_collisions = metrics.counter("eth.collisions", segment=name)
@@ -97,9 +98,8 @@ class EthernetSegment:
             self._m_collisions.inc()
             backoff_slots = self.rng.uniform(1.0, 8.0)
             delay_extra = self.slot_time * (1.0 + backoff_slots)
-            self.tracer.emit(
-                now, "eth.collision", self.name, sender=str(sender.mac)
-            )
+            if self.tracer.wants("eth.collision"):
+                self.tracer.emit(now, "eth.collision", self.name, sender=str(sender.mac))
         start = earliest + delay_extra
         tx_time = self.transmission_time(frame)
         self._busy_until = start + tx_time
@@ -147,20 +147,22 @@ class EthernetSegment:
 
     def _fan_out(self, frame: EthernetFrame, exclude: Optional["Nic"]) -> None:
         self.frames_delivered += 1
-        self._m_frames.inc()
-        self._m_bytes.inc(frame.wire_size)
+        if self._metrics.enabled:
+            self._m_frames.inc()
+            self._m_bytes.inc(frame.wire_size)
         # The frame object rides along in the detail so the pcap exporter
         # and flight recorder can reconstruct the wire (frames are frozen
         # dataclasses — recording aliases, never copies).
-        self.tracer.emit(
-            self.sim.now,
-            "eth.rx",
-            self.name,
-            src=str(frame.src),
-            dst=str(frame.dst),
-            size=frame.wire_size,
-            frame=frame,
-        )
+        if self.tracer.wants("eth.rx"):
+            self.tracer.emit(
+                self.sim.now,
+                "eth.rx",
+                self.name,
+                src=str(frame.src),
+                dst=str(frame.dst),
+                size=frame.wire_size,
+                frame=frame,
+            )
         # Bus semantics: every station other than the sender sees the frame.
         for nic in list(self._nics):
             if nic is exclude or nic.mac == frame.src:

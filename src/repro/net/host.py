@@ -67,6 +67,7 @@ class Cpu:
         self._busy_until = 0.0
         self.busy_time = 0.0
         metrics = metrics or NULL_METRICS
+        self._metrics = metrics
         self._m_busy = metrics.gauge("cpu.busy_seconds", host=owner)
         self._m_backlog = metrics.gauge("cpu.backlog_peak", host=owner)
 
@@ -79,8 +80,9 @@ class Cpu:
         start = max(self.sim.now, self._busy_until)
         self._busy_until = start + cost
         self.busy_time += cost
-        self._m_busy.add(cost)
-        self._m_backlog.set(self._busy_until - self.sim.now)
+        if self._metrics.enabled:
+            self._m_busy.add(cost)
+            self._m_backlog.set(self._busy_until - self.sim.now)
         self.sim.call_at(self._busy_until, fn, *args)
 
     @property

@@ -8,29 +8,18 @@ Time is a float measured in **seconds** of simulated time.  All network
 latencies, transmission delays and protocol timers in this repository are
 expressed in seconds.
 
-Storage for pending timers lives behind the :class:`EventQueue` interface
-with two interchangeable backends:
-
-* ``"wheel"`` (default) — the hierarchical timer wheel in
-  :mod:`repro.sim.wheel`, O(1) amortised schedule/cancel and bulk disposal
-  of cancelled timers during slot cascades;
-* ``"heap"`` — the classic binary heap with lazy compaction of cancelled
-  entries (:class:`HeapEventQueue`), kept as a fallback and as the
-  reference implementation for the differential equivalence suite
-  (``tests/differential/``).
-
-Both backends are observationally identical: same firing order, same
-timestamps, same counter semantics — the property the differential test
-plane exists to prove.  Select per instance (``Simulator(scheduler=...)``)
-or process-wide with the ``REPRO_SIM_SCHEDULER`` environment variable.
+Pending timers live in one binary heap of ``(deadline, insertion order,
+timer)`` entries, driven with :mod:`heapq` directly from the run loops.
+Cancelled timers stay in the heap until they reach its head or a lazy
+compaction drops them (see :meth:`Simulator._timer_cancelled`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple, Union
+import math
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # the sim core stays import-free of the obs plane
     from repro.obs.metrics import MetricsRegistry
@@ -38,13 +27,11 @@ if TYPE_CHECKING:  # the sim core stays import-free of the obs plane
 
 #: One stored timer: ``(deadline, insertion order, timer)``.  Tuples sort
 #: lexicographically and insertion order is unique, so comparisons never
-#: reach the Timer object — the same tie-break the original heap used.
+#: reach the Timer object.
 Entry = Tuple[float, int, "Timer"]
 
-#: Environment override for the default scheduler backend.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-
-DEFAULT_SCHEDULER = "wheel"
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class SimulationError(RuntimeError):
@@ -75,7 +62,7 @@ class Timer:
         self._cancelled = False
         self._fired = False
         # Back-reference so cancellation can be accounted for lazily by
-        # the owning simulator's queue compaction (None for standalone
+        # the owning simulator's heap compaction (None for standalone
         # timers constructed in tests).
         self._sim = sim
 
@@ -110,145 +97,6 @@ class Timer:
         return f"Timer(deadline={self.deadline:.9f}, {state})"
 
 
-class EventQueue:
-    """Interface for pending-timer storage (a scheduler backend).
-
-    The contract the differential suite enforces on every implementation:
-
-    * :meth:`peek` returns the earliest **live** entry in ``(deadline,
-      insertion order)`` order without removing it, disposing of any
-      cancelled entries it encounters on the way (decrementing
-      ``cancelled_pending`` for each);
-    * :meth:`pop` removes the entry the immediately-preceding ``peek``
-      returned;
-    * ``len()`` counts every stored entry, cancelled ones included;
-    * cancellation is O(1) via :meth:`on_cancel`, which compacts dead
-      entries away only once they exceed ``COMPACT_DEAD_RATIO`` of the
-      queue (and at least ``COMPACT_MIN_CANCELLED`` of them exist), so
-      total compaction work stays bounded by a constant multiple of the
-      number of cancellations (see ``compaction_work``).
-    """
-
-    #: Human-readable backend name (``"heap"`` / ``"wheel"``).
-    backend: str = ""
-
-    #: Compaction only kicks in above this many cancelled entries, so small
-    #: queues never pay the rebuild cost.
-    COMPACT_MIN_CANCELLED = 64
-
-    #: ...and only once dead entries make up at least this fraction of the
-    #: queue.  Each compaction then examines at most ``1/ratio`` entries per
-    #: cancellation since the previous one, which amortises to O(1).
-    COMPACT_DEAD_RATIO = 0.5
-
-    def __init__(self) -> None:
-        #: Cancelled timers still occupying storage.
-        self.cancelled_pending = 0
-        #: Number of compaction passes performed.
-        self.compactions = 0
-        #: Total entries examined across all compactions — the measurable
-        #: bound the amortisation test asserts on.
-        self.compaction_work = 0
-        # Cache the class-level policy knobs on the instance: on_cancel is
-        # on the cancellation hot path and instance reads are cheaper.
-        self._compact_min = self.COMPACT_MIN_CANCELLED
-        self._compact_ratio = self.COMPACT_DEAD_RATIO
-
-    def push(self, entry: Entry) -> None:
-        raise NotImplementedError
-
-    def peek(self) -> Optional[Entry]:
-        raise NotImplementedError
-
-    def pop(self) -> Entry:
-        raise NotImplementedError
-
-    def compact(self) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def on_cancel(self) -> None:
-        """Account for a cancellation; compact once dead entries dominate.
-
-        With tens of thousands of in-flight timers (retransmission timers
-        that almost always get cancelled by the ACK, detector timeouts
-        rearmed every heartbeat) storage can fill up with dead entries.
-        Disposal is O(live) per pass and amortises to O(1) per
-        cancellation because a pass only runs when at least
-        ``COMPACT_DEAD_RATIO`` of the stored entries are dead.
-        """
-        cancelled = self.cancelled_pending + 1
-        self.cancelled_pending = cancelled
-        if cancelled >= self._compact_min and cancelled >= self._compact_ratio * len(self):
-            self.compact()
-
-
-class HeapEventQueue(EventQueue):
-    """The classic binary-heap backend with lazy compaction.
-
-    Cancelled timers stay in the heap until popped or compacted away;
-    ``cancelled_pending`` counts how many of the queued entries are dead.
-    """
-
-    backend = "heap"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: List[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, entry: Entry) -> None:
-        heapq.heappush(self._heap, entry)
-
-    def peek(self) -> Optional[Entry]:
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[2]._cancelled:
-                heapq.heappop(heap)
-                self.cancelled_pending -= 1
-                continue
-            return head
-        return None
-
-    def pop(self) -> Entry:
-        return heapq.heappop(self._heap)
-
-    def compact(self) -> None:
-        """Drop cancelled entries and re-heapify the survivors.
-
-        Entries keep their original ``(deadline, sequence)`` keys, so the
-        firing order of live timers — including insertion-order
-        tie-breaking — is unchanged.
-        """
-        self.compaction_work += len(self._heap)
-        self._heap = [entry for entry in self._heap if not entry[2]._cancelled]
-        heapq.heapify(self._heap)
-        self.cancelled_pending = 0
-        self.compactions += 1
-
-
-def _make_queue(scheduler: Union[str, EventQueue, None]) -> EventQueue:
-    """Resolve a backend spec (instance, name, or None for the default)."""
-    if isinstance(scheduler, EventQueue):
-        return scheduler
-    if scheduler is None:
-        scheduler = os.environ.get(SCHEDULER_ENV, "") or DEFAULT_SCHEDULER
-    if scheduler == "heap":
-        return HeapEventQueue()
-    if scheduler == "wheel":
-        from repro.sim.wheel import TimerWheel
-
-        return TimerWheel()
-    raise SimulationError(
-        f"unknown scheduler backend {scheduler!r} (expected 'heap' or 'wheel')"
-    )
-
-
 class Simulator:
     """Discrete-event scheduler with a simulated clock.
 
@@ -257,21 +105,29 @@ class Simulator:
         sim = Simulator()
         sim.schedule(1.5, print, "fires at t=1.5")
         sim.run()
-
-    ``scheduler`` selects the timer-storage backend: ``"wheel"`` (default),
-    ``"heap"``, or an :class:`EventQueue` instance.  When omitted, the
-    ``REPRO_SIM_SCHEDULER`` environment variable is consulted first.
     """
 
-    #: Backwards-compatible alias (the threshold now lives on EventQueue).
-    COMPACT_MIN_CANCELLED = EventQueue.COMPACT_MIN_CANCELLED
+    #: Compaction only kicks in above this many cancelled entries, so small
+    #: heaps never pay the rebuild cost.
+    COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self, scheduler: Union[str, EventQueue, None] = None) -> None:
+    #: ...and only once dead entries make up at least this fraction of the
+    #: heap.  Each compaction then examines at most ``1/ratio`` entries per
+    #: cancellation since the previous one, which amortises to O(1).
+    COMPACT_DEAD_RATIO = 0.5
+
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue: EventQueue = _make_queue(scheduler)
+        self._heap: List[Entry] = []
         self._sequence = itertools.count()
         self._running = False
         self._events_processed = 0
+        #: Cancelled timers still occupying the heap.
+        self.cancelled_pending = 0
+        #: Number of lazy compaction passes performed so far.
+        self.compactions = 0
+        #: Total entries examined by compaction -- the amortisation bound.
+        self.compaction_work = 0
         # Optional observability hook (see set_metrics); None keeps the
         # hot loop to a single identity check per event.
         self._m_events: Optional[Any] = None
@@ -289,7 +145,7 @@ class Simulator:
     def _note_event(self) -> None:
         assert self._m_events is not None and self._m_queue_peak is not None
         self._m_events.inc()
-        self._m_queue_peak.set(len(self._queue))
+        self._m_queue_peak.set(len(self._heap))
 
     @property
     def now(self) -> float:
@@ -298,8 +154,8 @@ class Simulator:
 
     @property
     def scheduler_backend(self) -> str:
-        """Name of the active timer-storage backend."""
-        return self._queue.backend
+        """Name of the timer storage; the binary heap is the only one."""
+        return "heap"
 
     @property
     def events_processed(self) -> int:
@@ -309,22 +165,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of events still queued (including cancelled timers)."""
-        return len(self._queue)
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled timers still occupying storage."""
-        return self._queue.cancelled_pending
-
-    @property
-    def compactions(self) -> int:
-        """Number of lazy compaction passes performed so far."""
-        return self._queue.compactions
-
-    @property
-    def compaction_work(self) -> int:
-        """Total entries examined by compaction — the amortisation bound."""
-        return self._queue.compaction_work
+        return len(self._heap)
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
         """Run ``callback(*args)`` after ``delay`` seconds of simulated time."""
@@ -338,12 +179,52 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={when} (now={self._now})"
             )
-        timer = Timer(when, callback, args, sim=self)
-        self._queue.push((when, next(self._sequence), timer))
+        timer = Timer(when, callback, args, self)
+        _heappush(self._heap, (when, next(self._sequence), timer))
         return timer
 
     def _timer_cancelled(self) -> None:
-        self._queue.on_cancel()
+        """Account for a cancellation; compact once dead entries dominate.
+
+        With tens of thousands of in-flight timers (retransmission timers
+        that almost always get cancelled by the ACK, detector timeouts
+        rearmed every heartbeat) the heap can fill up with dead entries.
+        A compaction is O(heap) and amortises to O(1) per cancellation
+        because it only runs when at least ``COMPACT_DEAD_RATIO`` of the
+        stored entries are dead.
+        """
+        cancelled = self.cancelled_pending + 1
+        self.cancelled_pending = cancelled
+        if (cancelled >= self.COMPACT_MIN_CANCELLED
+                and cancelled >= self.COMPACT_DEAD_RATIO * len(self._heap)):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries and re-heapify the survivors, in place.
+
+        The run loops hold a reference to the heap list, so it is rebuilt
+        in place.  Entries keep their ``(deadline, sequence)`` keys, so
+        the firing order of live timers -- insertion-order ties included
+        -- is unchanged.
+        """
+        heap = self._heap
+        self.compaction_work += len(heap)
+        heap[:] = [entry for entry in heap if not entry[2]._cancelled]
+        heapq.heapify(heap)
+        self.cancelled_pending = 0
+        self.compactions += 1
+
+    def _next_deadline(self) -> float:
+        """Deadline of the earliest live timer (inf when none), disposing
+        of the cancelled entries at the head."""
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if not head[2]._cancelled:
+                return head[0]
+            _heappop(heap)
+            self.cancelled_pending -= 1
+        return math.inf
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Process events until the queue drains, ``until`` or ``max_events``.
@@ -355,28 +236,31 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
-        queue = self._queue
+        heap = self._heap
+        limit = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         processed = 0
         try:
-            while True:
-                head = queue.peek()
-                if head is None:
+            while heap:
+                when, _, timer = heap[0]
+                if timer._cancelled:
+                    _heappop(heap)
+                    self.cancelled_pending -= 1
+                    continue
+                if when > limit:
                     break
-                when = head[0]
-                if until is not None and when > until:
-                    break
-                queue.pop()
+                _heappop(heap)
                 self._now = when
-                head[2]._fire()
+                timer._fire()
                 self._events_processed += 1
                 if self._m_events is not None:
                     self._note_event()
                 processed += 1
-                if max_events is not None and processed >= max_events:
+                if processed >= budget:
                     break
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._queue_has_work(until):
+        if until is not None and self._now < until and self._next_deadline() > until:
             self._now = until
         return self._now
 
@@ -389,14 +273,18 @@ class Simulator:
         deadline = self._now + timeout
         if predicate():
             return True
-        queue = self._queue
-        while True:
-            head = queue.peek()
-            if head is None or head[0] > deadline:
+        heap = self._heap
+        while heap:
+            when, _, timer = heap[0]
+            if timer._cancelled:
+                _heappop(heap)
+                self.cancelled_pending -= 1
+                continue
+            if when > deadline:
                 break
-            queue.pop()
-            self._now = head[0]
-            head[2]._fire()
+            _heappop(heap)
+            self._now = when
+            timer._fire()
             self._events_processed += 1
             if self._m_events is not None:
                 self._note_event()
@@ -406,12 +294,8 @@ class Simulator:
             self._now = deadline
         return predicate()
 
-    def _queue_has_work(self, until: float) -> bool:
-        head = self._queue.peek()
-        return head is not None and head[0] <= until
-
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self._now:.9f}, pending={len(self._queue)},"
-            f" processed={self._events_processed}, backend={self._queue.backend})"
+            f"Simulator(now={self._now:.9f}, pending={len(self._heap)},"
+            f" processed={self._events_processed})"
         )

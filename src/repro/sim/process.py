@@ -45,17 +45,28 @@ class Event:
     woken in registration order on the same simulated timestamp.  Triggering
     twice is an error — protocol code that may race must guard with
     :attr:`triggered`.
+
+    With an ``owner``, ``name`` is a ``str.format`` template that the owner
+    fills in when :attr:`name` is read (``Event(sim, "{}.readable",
+    owner=conn)``).  Names are read only by error messages and ``repr``,
+    so the per-packet events never format their owner.
     """
 
-    __slots__ = ("sim", "_value", "_exception", "_triggered", "_waiters", "name")
+    __slots__ = ("sim", "_value", "_exception", "_triggered", "_waiters", "_label", "_owner")
 
-    def __init__(self, sim: Simulator, name: str = ""):
+    def __init__(self, sim: Simulator, name: str = "", owner: Any = None):
         self.sim = sim
-        self.name = name
+        self._label = name
+        self._owner = owner
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         self._triggered = False
         self._waiters: List[Callable[["Event"], None]] = []
+
+    @property
+    def name(self) -> str:
+        owner = self._owner
+        return self._label if owner is None else self._label.format(owner)
 
     @property
     def triggered(self) -> bool:
@@ -132,7 +143,7 @@ class Process:
         self.sim = sim
         self.name = name or f"process-{Process._ids}"
         self._generator = generator
-        self.done_event = Event(sim, name=f"{self.name}.done")
+        self.done_event = Event(sim, "{}.done", owner=self.name)
         self._interrupted: Optional[BaseException] = None
         sim.schedule(0.0, self._step, None, None)
 
@@ -242,7 +253,7 @@ class Queue:
             self._items.append(item)
 
     def get(self) -> Event:
-        event = Event(self.sim, name=f"{self.name}.get")
+        event = Event(self.sim, "{}.get", owner=self.name)
         if self._items:
             event.succeed(self._items.pop(0))
         else:

@@ -4,7 +4,9 @@ Network layers and bridges emit :class:`TraceRecord` objects through a shared
 :class:`Tracer`.  Tests assert on traces (e.g. "no RST reached the client",
 "the bridge emitted exactly one empty ACK"), and the benchmark harness uses
 them to compute wire-level statistics.  Tracing is cheap when nothing is
-recorded or subscribed.
+recorded or subscribed: per-packet emit sites ask :meth:`Tracer.wants`
+first, which only counts the category while nobody observes it, so the
+detail is never built.
 """
 
 from __future__ import annotations
@@ -52,10 +54,16 @@ class Tracer:
     set, ``records`` is a ring buffer keeping only the most recent
     records.  Category counts (:meth:`count`) stay exact either way —
     they are maintained independently of the ring.
+
+    ``enabled`` is true while the tracer records or has a subscriber,
+    i.e. while an emitted record is observed.  Hot emit sites guard with
+    :meth:`wants`, which reads it at emit time (a subscriber may attach
+    mid-run), so nothing is formatted for a record nobody sees.
     """
 
     def __init__(self, record: bool = True, max_records: Optional[int] = None):
         self._record = record
+        self.enabled = record
         self.max_records = max_records
         # A plain list when unbounded (the common case tests index and
         # compare against), a ring deque when bounded.
@@ -63,10 +71,29 @@ class Tracer:
         self._subscribers: List[Callable[[TraceRecord], None]] = []
         self._category_counts: Dict[str, int] = {}
 
+    def _tally(self, category: str) -> None:
+        counts = self._category_counts
+        counts[category] = counts.get(category, 0) + 1
+
+    def wants(self, category: str) -> bool:
+        """Whether an emit of ``category`` would be observed (``enabled``).
+
+        When it would not, the occurrence is counted here, so the caller
+        skips building the detail and calling :meth:`emit` while
+        :meth:`count` stays exact::
+
+            if tracer.wants("eth.rx"):
+                tracer.emit(now, "eth.rx", node, src=str(frame.src))
+        """
+        if self.enabled:
+            return True
+        self._tally(category)
+        return False
+
     def emit(self, time: float, category: str, node: str, **detail: Any) -> None:
-        """Emit a record; no-op cost is one dict update when unsubscribed."""
-        self._category_counts[category] = self._category_counts.get(category, 0) + 1
-        if not self._record and not self._subscribers:
+        """Emit a record; no-op cost is one count update when not enabled."""
+        self._tally(category)
+        if not self.enabled:
             return
         record = TraceRecord(time=time, category=category, node=node, detail=detail)
         if self._record:
@@ -76,6 +103,7 @@ class Tracer:
 
     def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
         self._subscribers.append(callback)
+        self.enabled = True
 
     def count(self, category: str) -> int:
         """Number of records emitted for ``category`` (recorded or not)."""

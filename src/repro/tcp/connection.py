@@ -203,11 +203,11 @@ class TcpConnection:
         self._total_written = 0
         self._segs_since_ack = 0
 
-        self.established_event = Event(self.sim, name=f"{self}.established")
+        self.established_event = Event(self.sim, "{}.established", owner=self)
         # terminated: the four-way handshake finished (TIME_WAIT counts);
         # closed: the TCB is destroyed (after 2*MSL for the active closer).
-        self.terminated_event = Event(self.sim, name=f"{self}.terminated")
-        self.closed_event = Event(self.sim, name=f"{self}.closed")
+        self.terminated_event = Event(self.sim, "{}.terminated", owner=self)
+        self.closed_event = Event(self.sim, "{}.closed", owner=self)
         self._readable_waiters: List[Event] = []
         self._writable_waiters: List[Event] = []
         self.reset_received = False
@@ -366,7 +366,7 @@ class TcpConnection:
 
     def wait_readable(self) -> Event:
         """Event that fires when data/EOF/reset is available."""
-        event = Event(self.sim, name=f"{self}.readable")
+        event = Event(self.sim, "{}.readable", owner=self)
         if self._readable_now():
             event.succeed()
         else:
@@ -375,7 +375,7 @@ class TcpConnection:
 
     def wait_writable(self) -> Event:
         """Event that fires when the send buffer has space (or on error)."""
-        event = Event(self.sim, name=f"{self}.writable")
+        event = Event(self.sim, "{}.writable", owner=self)
         if self.send_buffer.free_space > 0 or self.reset_received:
             event.succeed()
         else:
@@ -603,10 +603,11 @@ class TcpConnection:
         self.layer._m_rtx.inc()
         self.rto.on_timeout()
         self._rtt_probe = None  # Karn's rule
-        self.tracer.emit(
-            self.sim.now, "tcp.rtx", self.layer.node_name,
-            conn=str(self), state=self.state.value, count=self._rtx_count,
-        )
+        if self.tracer.wants("tcp.rtx"):
+            self.tracer.emit(
+                self.sim.now, "tcp.rtx", self.layer.node_name,
+                conn=str(self), state=self.state.value, count=self._rtx_count,
+            )
         if self.state == TcpState.SYN_SENT:
             self._send_syn(with_ack=False)
         elif self.state == TcpState.SYN_RCVD:
@@ -642,7 +643,8 @@ class TcpConnection:
                 window=self.recv_buffer.window if self.recv_buffer else 0,
                 payload=probe,
             )
-            self.tracer.emit(self.sim.now, "tcp.zwp", self.layer.node_name, conn=str(self))
+            if self.tracer.wants("tcp.zwp"):
+                self.tracer.emit(self.sim.now, "tcp.zwp", self.layer.node_name, conn=str(self))
             # The probe byte occupies sequence space: record it so the
             # receiver's ACK of the probe is acceptable and carries the
             # reopened window back to us.
@@ -880,9 +882,8 @@ class TcpConnection:
         self.retransmissions += 1
         self.layer._m_fast_rtx.inc()
         self._rtt_probe = None
-        self.tracer.emit(
-            self.sim.now, "tcp.fast_rtx", self.layer.node_name, conn=str(self)
-        )
+        if self.tracer.wants("tcp.fast_rtx"):
+            self.tracer.emit(self.sim.now, "tcp.fast_rtx", self.layer.node_name, conn=str(self))
         if payload:
             flags = FLAG_ACK | FLAG_PSH
             fin_too = (

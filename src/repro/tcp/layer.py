@@ -410,10 +410,11 @@ class TcpLayer:
         sealed = segment.sealed(src_ip, dst_ip)
         self._m_tx.inc()
         self._m_tx_bytes.inc(len(sealed.payload))
-        self.tracer.emit(
-            self.sim.now, "tcp.tx", self.node_name,
-            seg=repr(sealed), dst=str(dst_ip),
-        )
+        if self.tracer.wants("tcp.tx"):
+            self.tracer.emit(
+                self.sim.now, "tcp.tx", self.node_name,
+                seg=repr(sealed), dst=str(dst_ip),
+            )
         if self.spans.enabled:
             self.spans.flow_event(
                 flow_key(src_ip, sealed.src_port, dst_ip, sealed.dst_port),

@@ -63,6 +63,14 @@ def test_pattern_bytes_golden(args, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_pattern_periods_match_the_byte_formula():
+    """Every salt's period, built by translating the salt-0 base, equals
+    the per-byte definition."""
+    for salt in range(256):
+        expected = bytes((i * 31 + salt * 17 + (i >> 8)) & 0xFF for i in range(2048))
+        assert bulk.pattern_bytes(2048, salt) == expected
+
+
 def test_pattern_period_table_is_bounded():
     for salt in range(-600, 600, 7):
         bulk.pattern_bytes(3000, salt)

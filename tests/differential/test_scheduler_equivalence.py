@@ -1,19 +1,16 @@
-"""Heap vs timer-wheel scheduler equivalence, driven by hypothesis.
+"""Simulator vs a naive reference scheduler, driven by hypothesis.
 
 Random schedule/cancel/reschedule/advance programs are interpreted twice
-— once against ``Simulator(scheduler="heap")`` and once against
-``Simulator(scheduler="wheel")`` — and must produce identical firing
-logs (timestamp + tag, in order), identical clocks, and identical event
-counts.  The wheel quantises deadlines into 1/64 s ticks internally, so
-any divergence in ordering or timestamps is a real bug, not rounding:
-the contract is that quantisation may *group* work for the scan but
-never reorder or retime it.
+-- once against :class:`Simulator` and once against
+:class:`NaiveScheduler`, a plain list scanned for the earliest live entry
+by ``(deadline, insertion order)`` with cancelled entries ignored -- and
+must produce identical firing logs (timestamp + tag, in order), identical
+clocks and identical event counts.  The reference has no heap, no lazy
+disposal and no compaction, so any divergence is a bug in those.
 
 Counters that describe *disposal timing* of cancelled entries
-(``pending_events`` mid-run, ``compactions``) are deliberately not
-compared: the heap disposes dead entries one-by-one at peek, the wheel
-in bulk at slot scans — both are correct.  After a full drain both
-backends must agree that nothing is left.
+(``pending_events`` mid-run, ``compactions``) have no counterpart in the
+reference; after a full drain the simulator must hold nothing.
 """
 
 from hypothesis import given
@@ -21,11 +18,59 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 
-# Deadline pools.  TIGHT forces ties and same-tick collisions (the wheel
-# quantises to 1/64 s, so 0.001 vs 0.002 land in one slot); WIDE spans
-# every wheel level plus the overflow heap (> ~2 years of ticks).
+# Deadline pools.  TIGHT forces ties and near-ties; WIDE spans from a
+# millisecond to decades of simulated time.
 TIGHT_DELAYS = [0.0, 0.001, 0.002, 0.01, 0.015625, 0.5, 1.0, 1.0, 2.0]
 WIDE_DELAYS = [0.001, 0.5, 3.0, 250.0, 4_000.0, 1_048_576.0, 2.0e8, 1.5e9]
+
+
+class NaiveTimer:
+    def __init__(self, deadline, order, callback, args):
+        self.deadline = deadline
+        self.order = order
+        self.callback = callback
+        self.args = args
+        self.active = True
+
+    def cancel(self):
+        self.active = False
+
+
+class NaiveScheduler:
+    """The scheduling contract, with no data structure to get wrong."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.entries = []
+
+    def schedule(self, delay, callback, *args):
+        timer = NaiveTimer(self.now + delay, len(self.entries), callback, args)
+        self.entries.append(timer)
+        return timer
+
+    def _earliest(self):
+        live = [timer for timer in self.entries if timer.active]
+        return min(live, key=lambda t: (t.deadline, t.order)) if live else None
+
+    def run(self, until=None, max_events=None):
+        processed = 0
+        while True:
+            head = self._earliest()
+            if head is None or (until is not None and head.deadline > until):
+                break
+            head.active = False
+            self.now = head.deadline
+            head.callback(*head.args)
+            self.events_processed += 1
+            processed += 1
+            if max_events is not None and processed >= max_events:
+                break
+        if until is not None and self.now < until:
+            head = self._earliest()
+            if head is None or head.deadline > until:
+                self.now = until
+        return self.now
 
 
 def _op_strategy(delays):
@@ -42,9 +87,8 @@ def _op_strategy(delays):
     )
 
 
-def run_program(scheduler, ops):
-    """Interpret one op program; returns the observable outcome."""
-    sim = Simulator(scheduler=scheduler)
+def run_program(sim, ops):
+    """Interpret one op program on ``sim``; returns the observable outcome."""
     log = []
     timers = []
 
@@ -52,8 +96,8 @@ def run_program(scheduler, ops):
         log.append((sim.now, tag))
 
     def fire_nested(tag, delay):
-        # Scheduling from inside a callback exercises same-time and
-        # past-cursor pushes on the wheel.
+        # Scheduling from inside a callback exercises same-time pushes
+        # while the run loop holds the heap.
         log.append((sim.now, tag))
         timers.append(sim.schedule(delay, fire, -tag - 1))
 
@@ -82,24 +126,15 @@ def run_program(scheduler, ops):
         elif kind == "drain":
             sim.run(max_events=op[1])
     sim.run()
-    return {
-        "log": log,
-        "now": sim.now,
-        "events": sim.events_processed,
-        "pending": sim.pending_events,
-        "cancelled": sim.cancelled_pending,
-    }
+    return {"log": log, "now": sim.now, "events": sim.events_processed}
 
 
 def _assert_equivalent(ops):
-    heap = run_program("heap", ops)
-    wheel = run_program("wheel", ops)
-    assert heap["log"] == wheel["log"]
-    assert heap["now"] == wheel["now"]
-    assert heap["events"] == wheel["events"]
-    # Fully drained: both must agree the queues are empty.
-    assert heap["pending"] == wheel["pending"] == 0
-    assert heap["cancelled"] == wheel["cancelled"] == 0
+    sim = Simulator()
+    assert run_program(sim, ops) == run_program(NaiveScheduler(), ops)
+    # Fully drained: nothing may be left, cancelled entries included.
+    assert sim.pending_events == 0
+    assert sim.cancelled_pending == 0
 
 
 @given(st.lists(_op_strategy(TIGHT_DELAYS + WIDE_DELAYS), max_size=60))
@@ -109,13 +144,13 @@ def test_mixed_programs_equivalent(ops):
 
 @given(st.lists(_op_strategy(TIGHT_DELAYS), max_size=60))
 def test_tie_heavy_programs_equivalent(ops):
-    """Dense same-tick collisions: insertion-order tie-breaks must agree."""
+    """Dense ties: insertion-order tie-breaks must match the reference."""
     _assert_equivalent(ops)
 
 
 @given(st.lists(_op_strategy(WIDE_DELAYS), max_size=40))
 def test_wide_horizon_programs_equivalent(ops):
-    """Deadlines spanning all wheel levels and the overflow heap."""
+    """Deadlines from a millisecond to decades apart."""
     _assert_equivalent(ops)
 
 
@@ -125,8 +160,8 @@ def test_wide_horizon_programs_equivalent(ops):
     st.data(),
 )
 def test_cancellation_storms_equivalent(delays, cancels, data):
-    """Mass cancellation exercises both compaction paths; survivors must
-    fire identically."""
+    """Mass cancellation drives the lazy compaction; survivors must fire
+    as in the reference."""
     ops = [("schedule", d, i) for i, d in enumerate(delays)]
     ops += [("cancel", c) for c in cancels]
     ops.append(("advance", data.draw(st.sampled_from(TIGHT_DELAYS + WIDE_DELAYS))))

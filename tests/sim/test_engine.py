@@ -252,26 +252,3 @@ def test_compaction_work_is_amortised_linear():
     assert keep.active
     sim.run()
     assert sim.events_processed == 1
-
-
-def test_trace_streams_identical_across_backends(monkeypatch):
-    """Same seed + same program ⇒ identical sim.trace streams for heap
-    and wheel (the scheduler backend must be invisible to replay)."""
-    from tests.util import SERVER_IP, TwoHostLan
-
-    def trace_stream(backend):
-        monkeypatch.setenv("REPRO_SIM_SCHEDULER", backend)
-        lan = TwoHostLan(seed=7)
-        assert lan.sim.scheduler_backend == backend
-        lan.server.tcp.listen(80)
-        conn = lan.client.tcp.connect(SERVER_IP, 80)
-        lan.run(until=0.5)
-        conn.write(b"x" * 20_000)
-        lan.run(until=2.0)
-        conn.close()
-        lan.run(until=5.0)
-        stream = [str(record) for record in lan.tracer.records]
-        assert stream  # a silent run would make the comparison vacuous
-        return stream
-
-    assert trace_stream("heap") == trace_stream("wheel")

@@ -18,6 +18,22 @@ def test_count_works_even_when_not_recording():
     assert tracer.records == []
 
 
+def test_enabled_follows_recording_and_subscribers():
+    assert Tracer(record=True).enabled
+    tracer = Tracer(record=False)
+    assert not tracer.enabled
+    assert not tracer.wants("eth.rx")  # counted, not emitted
+    tracer.emit(0.0, "eth.rx", "lan")
+    assert tracer.count("eth.rx") == 2
+    seen = []
+    tracer.subscribe(seen.append)
+    assert tracer.enabled
+    assert tracer.wants("eth.rx")  # the emit that follows counts it
+    tracer.emit(1.0, "eth.rx", "lan")
+    assert tracer.count("eth.rx") == 3
+    assert [record.time for record in seen] == [1.0]
+
+
 def test_select_by_category_prefix():
     tracer = Tracer()
     tracer.emit(1.0, "tcp.tx", "a")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.addresses import Ipv4Address
+from repro.sim.engine import SimulationError
 from repro.tcp.connection import ConnectionReset, TcpState
 from repro.tcp.socket_api import ListeningSocket, SimSocket
 from tests.util import SERVER_IP, TwoHostLan, run_all, run_process
@@ -17,6 +18,19 @@ def test_three_way_handshake_states():
     server_conn = next(iter(lan.server.tcp.connections.values()))
     assert server_conn.state == TcpState.ESTABLISHED
     assert server_conn.remote_port == conn.local_port
+
+
+def test_connection_event_names_render_the_connection():
+    lan = TwoHostLan()
+    lan.server.tcp.listen(80)
+    conn = lan.client.tcp.connect(SERVER_IP, 80)
+    lan.run(until=1.0)
+    readable = conn.wait_readable()
+    assert readable.name == f"{conn}.readable"
+    readable.succeed()
+    with pytest.raises(SimulationError) as raised:
+        readable.succeed()
+    assert f"{conn}.readable" in str(raised.value)
 
 
 def test_mss_negotiated_to_minimum():
